@@ -49,7 +49,7 @@ func main() {
 		jsonOut   = flag.String("json", "", "write a machine-readable benchmark report to this file instead of running -exp")
 		compare   = flag.String("compare", "", "diff a fresh run against this committed baseline (e.g. BENCH_PR3.json) instead of running -exp")
 		tolerance = flag.Float64("tolerance", 0.30, "with -compare: warn when a benchmark is more than this fraction slower")
-		strict    = flag.Bool("strict", false, "with -compare: exit nonzero on any regression beyond the tolerance")
+		strict    = flag.Bool("strict", false, "with -compare: exit nonzero on any regression beyond the tolerance or any baseline row missing from the fresh run")
 	)
 	flag.Parse()
 	if *jsonOut != "" {
@@ -60,12 +60,12 @@ func main() {
 		return
 	}
 	if *compare != "" {
-		regressed, err := runCompare(*compare, *tolerance)
+		failed, err := runCompare(*compare, *tolerance)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "radsbench:", err)
 			os.Exit(1)
 		}
-		if regressed && *strict {
+		if failed && *strict {
 			os.Exit(2)
 		}
 		return
@@ -87,7 +87,7 @@ func main() {
 // (machine count, scale) and diffs ns/op against it — the perf
 // trajectory check: BENCH_PR<n>.json is committed per perf PR and the
 // next PR compares against it. It reports whether anything regressed
-// beyond the tolerance.
+// beyond the tolerance or a baseline row is missing from the fresh run.
 func runCompare(baselinePath string, tolerance float64) (bool, error) {
 	base, err := harness.ReadBenchReportFile(baselinePath)
 	if err != nil {
@@ -111,11 +111,20 @@ func runCompare(baselinePath string, tolerance float64) (bool, error) {
 		}
 		fmt.Printf("%-52s %14.0f %14.0f %7.2fx%s\n", d.Name, d.BaseNs, d.CurNs, d.Ratio, mark)
 	}
+	missing := harness.MissingRows(base, cur)
+	for _, name := range missing {
+		fmt.Printf("%-52s %14s\n", name, "MISSING")
+	}
 	reg := harness.Regressions(deltas)
 	if len(reg) > 0 {
 		fmt.Printf("\nWARNING: %d benchmark(s) more than %.0f%% slower than %s\n",
 			len(reg), tolerance*100, baselinePath)
 		fmt.Println("(wall-clock benches are noisy; rerun on a quiet machine before reverting anything)")
+	}
+	if len(missing) > 0 {
+		fmt.Printf("\nWARNING: %d baseline benchmark(s) of %s missing from this run\n", len(missing), baselinePath)
+	}
+	if len(reg) > 0 || len(missing) > 0 {
 		return true, nil
 	}
 	fmt.Printf("\nOK: nothing slower than baseline by more than %.0f%%\n", tolerance*100)

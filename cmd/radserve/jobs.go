@@ -117,8 +117,7 @@ func (js *jobsServer) register(mux *http.ServeMux) {
 
 func (js *jobsServer) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req jobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	factory, ok := js.kinds[req.Kind]

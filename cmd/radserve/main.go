@@ -530,6 +530,29 @@ type queryRequest struct {
 	Limit int64 `json:"limit,omitempty"`
 }
 
+// maxRequestBody bounds the JSON body of POST /query and POST /jobs.
+// Both carry a few hundred bytes (a pattern in text form, a job spec),
+// so the bound only stops a client from making the server read an
+// arbitrarily long stream.
+const maxRequestBody = 64 << 10
+
+// decodeBody decodes r's JSON body into v, reading at most
+// maxRequestBody bytes. On failure it writes the error response — 413
+// past the bound, 400 otherwise — and reports false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	r.Body = http.MaxBytesReader(w, r.Body, maxRequestBody)
+	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, fmt.Errorf("bad request body: %w", err))
+		return false
+	}
+	return true
+}
+
 func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req queryRequest
 	switch r.Method {
@@ -548,8 +571,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			req.Limit = n
 		}
 	case http.MethodPost:
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		if !decodeBody(w, r, &req) {
 			return
 		}
 	default:

@@ -308,6 +308,45 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestRequestBodyBound: POST /query and POST /jobs read at most
+// maxRequestBody bytes. A valid body padded to exactly the bound is
+// served; one byte more is refused with 413. The padding leads the
+// JSON value, so the decoder must read past the bound to find it.
+func TestRequestBodyBound(t *testing.T) {
+	ts, _, want := newTestServer(t)
+	for _, tc := range []struct {
+		path, body string
+		ok         int
+	}{
+		{"/query", `{"pattern":"triangle"}`, http.StatusOK},
+		{"/jobs", `{"kind":"census","size":3}`, http.StatusAccepted},
+	} {
+		for _, extra := range []int{0, 1} {
+			pad := strings.Repeat(" ", maxRequestBody-len(tc.body)+extra)
+			resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(pad+tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out map[string]any
+			if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			wantStatus := tc.ok
+			if extra > 0 {
+				wantStatus = http.StatusRequestEntityTooLarge
+			}
+			if resp.StatusCode != wantStatus {
+				t.Errorf("POST %s with %d-byte body: status %d, want %d (%v)",
+					tc.path, len(pad)+len(tc.body), resp.StatusCode, wantStatus, out)
+			}
+			if tc.path == "/query" && extra == 0 && out["total"] != float64(want) {
+				t.Errorf("POST /query at the bound: total %v, want %d", out["total"], want)
+			}
+		}
+	}
+}
+
 // TestOverloadReturns503 saturates a tiny service and expects 503 +
 // Retry-After on the overflow query.
 func TestOverloadReturns503(t *testing.T) {

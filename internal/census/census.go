@@ -271,6 +271,7 @@ type state struct {
 	cbMu         sync.Mutex
 	lastProgress time.Time
 	lastCkpt     time.Time
+	reported     Progress // high-water mark of reported progress
 }
 
 func (st *state) elapsed() time.Duration { return time.Since(st.start) }
@@ -310,6 +311,12 @@ func (st *state) merge(e *enumerator, rootsDone int64) {
 func (st *state) report(p Progress, final bool) {
 	st.cbMu.Lock()
 	defer st.cbMu.Unlock()
+	// Workers build p before taking cbMu, so a later snapshot can get
+	// here first; clamp to keep every reported field monotonic.
+	p.VerticesDone = max(p.VerticesDone, st.reported.VerticesDone)
+	p.SubgraphsSeen = max(p.SubgraphsSeen, st.reported.SubgraphsSeen)
+	p.Elapsed = max(p.Elapsed, st.reported.Elapsed)
+	st.reported = p
 	now := time.Now()
 	if st.cfg.OnProgress != nil && (final || now.Sub(st.lastProgress) >= st.cfg.ProgressEvery) {
 		st.lastProgress = now

@@ -12,8 +12,9 @@
 package etrie
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"rads/internal/graph"
 )
@@ -184,44 +185,117 @@ func Level(n *Node) int {
 // data edge -> IDs (trie leaves) of the embedding candidates that
 // require it. If a key edge turns out not to exist, every EC listed
 // under it is filtered out (Proposition 2).
+//
+// The index is an append-only log of runs: a run is one edge and a
+// range of consecutively added leaves that all need it. Sibling ECs
+// share the undetermined edges of their common prefix, so an edge's
+// leaves mostly arrive back to back and one run covers them; a leaf
+// costs one pointer, not one entry per edge. The first read after an
+// Add sorts the runs by edge and groups them. Reset truncates the log,
+// so an index reused across rounds stops allocating once its buffers
+// have grown to the largest round.
 type EVI struct {
-	m map[graph.Edge][]*Node
+	leaves []*Node  // distinct consecutive leaves, in Add order
+	runs   []eviRun // sorted by key while grouped
+	// prev and cur hold the runs the previous and the current leaf
+	// opened or extended: a run can grow only onto the next leaf.
+	prev, cur []int32
+	// edges are the distinct edges of the sorted runs; the runs of
+	// edges[i] are runs[starts[i]:starts[i+1]]. Valid while grouped.
+	edges   []graph.Edge
+	starts  []int32
+	grouped bool
 }
 
+type eviRun struct {
+	key    uint64 // normalised edge (U, V) as U<<32 | V: orders like (U, V)
+	lo, hi int32  // leaves[lo:hi] need the edge
+}
+
+func edgeKey(e graph.Edge) uint64 { return uint64(uint32(e.U))<<32 | uint64(uint32(e.V)) }
+
+func compareEdges(a, b graph.Edge) int { return cmp.Compare(edgeKey(a), edgeKey(b)) }
+
 // NewEVI returns an empty index.
-func NewEVI() *EVI { return &EVI{m: make(map[graph.Edge][]*Node)} }
+func NewEVI() *EVI { return &EVI{grouped: true} }
 
 // Add registers leaf under undetermined edge e (normalised).
 func (e *EVI) Add(edge graph.Edge, leaf *Node) {
-	k := edge.Normalize()
-	e.m[k] = append(e.m[k], leaf)
+	k := edgeKey(edge.Normalize())
+	if n := len(e.leaves); n == 0 || e.leaves[n-1] != leaf {
+		e.leaves = append(e.leaves, leaf)
+		e.prev, e.cur = e.cur, e.prev[:0]
+	}
+	i := int32(len(e.leaves) - 1)
+	e.grouped = false
+	for _, r := range e.prev {
+		if run := &e.runs[r]; run.key == k && run.hi == i {
+			run.hi++
+			e.cur = append(e.cur, r)
+			return
+		}
+	}
+	e.cur = append(e.cur, int32(len(e.runs)))
+	e.runs = append(e.runs, eviRun{key: k, lo: i, hi: i + 1})
+}
+
+// group sorts the runs by edge and indexes the runs of each edge.
+func (e *EVI) group() {
+	if e.grouped {
+		return
+	}
+	slices.SortFunc(e.runs, func(a, b eviRun) int {
+		if c := cmp.Compare(a.key, b.key); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.lo, b.lo) // an edge's leaves stay in Add order
+	})
+	// Sorting moved the runs prev and cur point at; a later Add starts
+	// fresh runs.
+	e.prev, e.cur = e.prev[:0], e.cur[:0]
+	e.edges, e.starts = e.edges[:0], e.starts[:0]
+	for i, r := range e.runs {
+		if i == 0 || r.key != e.runs[i-1].key {
+			e.edges = append(e.edges, graph.Edge{U: graph.VertexID(r.key >> 32), V: graph.VertexID(uint32(r.key))})
+			e.starts = append(e.starts, int32(i))
+		}
+	}
+	e.starts = append(e.starts, int32(len(e.runs)))
+	e.grouped = true
+}
+
+// runsOf returns the runs registered under edge.
+func (e *EVI) runsOf(edge graph.Edge) []eviRun {
+	e.group()
+	i, ok := slices.BinarySearchFunc(e.edges, edge.Normalize(), compareEdges)
+	if !ok {
+		return nil
+	}
+	return e.runs[e.starts[i]:e.starts[i+1]]
 }
 
 // Len returns the number of distinct undetermined edges.
-func (e *EVI) Len() int { return len(e.m) }
+func (e *EVI) Len() int {
+	e.group()
+	return len(e.edges)
+}
 
 // Edges returns the undetermined edges in deterministic (sorted) order;
-// these form the payload of a verifyE request.
+// these form the payload of a verifyE request. The slice is the
+// index's own and is valid until the next Add or Reset.
 func (e *EVI) Edges() []graph.Edge {
-	out := make([]graph.Edge, 0, len(e.m))
-	for k := range e.m {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].U != out[j].U {
-			return out[i].U < out[j].U
-		}
-		return out[i].V < out[j].V
-	})
-	return out
+	e.group()
+	return e.edges
 }
 
 // Candidates returns the live leaves registered under edge.
 func (e *EVI) Candidates(edge graph.Edge) []*Node {
 	var out []*Node
-	for _, n := range e.m[edge.Normalize()] {
-		if !n.Dead() {
-			out = append(out, n)
+	for _, r := range e.runsOf(edge) {
+		for _, n := range e.leaves[r.lo:r.hi] {
+			if !n.Dead() {
+				out = append(out, n)
+			}
 		}
 	}
 	return out
@@ -231,19 +305,25 @@ func (e *EVI) Candidates(edge graph.Edge) []*Node {
 // (the edge was verified non-existent). Returns the number of ECs
 // filtered.
 func (e *EVI) Fail(edge graph.Edge, t *Trie) int {
-	k := edge.Normalize()
 	removed := 0
-	for _, n := range e.m[k] {
-		if !n.Dead() {
-			t.Remove(n)
-			removed++
+	for _, r := range e.runsOf(edge) {
+		for _, n := range e.leaves[r.lo:r.hi] {
+			if !n.Dead() {
+				t.Remove(n)
+				removed++
+			}
 		}
 	}
-	delete(e.m, k)
 	return removed
 }
 
-// Reset clears the index for the next round (Algorithm 4 line 11).
+// Reset clears the index for the next round (Algorithm 4 line 11),
+// keeping its buffers. The leaf pointers are zeroed so removed trie
+// nodes do not stay reachable through the spare capacity.
 func (e *EVI) Reset() {
-	e.m = make(map[graph.Edge][]*Node)
+	clear(e.leaves)
+	e.leaves, e.runs = e.leaves[:0], e.runs[:0]
+	e.prev, e.cur = e.prev[:0], e.cur[:0]
+	e.edges, e.starts = e.edges[:0], e.starts[:0]
+	e.grouped = true
 }

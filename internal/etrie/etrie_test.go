@@ -298,3 +298,82 @@ func assertPanics(t *testing.T, f func()) {
 	}()
 	f()
 }
+
+// TestEVICycleAllocFree: once its buffers have grown, a round of the
+// index — Add, Edges, Fail, Reset — allocates nothing.
+func TestEVICycleAllocFree(t *testing.T) {
+	tr := New(2)
+	root := tr.Node(nil, 0)
+	tr.Link(root)
+	tr.Pin(root) // keeps the root alive when every leaf is filtered
+	leaves := make([]Node, 64)
+	evi := NewEVI()
+	removed := 0
+	round := func() {
+		for i := range leaves {
+			leaves[i] = Node{V: graph.VertexID(i + 1), Parent: root}
+			tr.Link(&leaves[i])
+			evi.Add(graph.Edge{U: graph.VertexID(i % 7), V: 100}, &leaves[i])
+			evi.Add(graph.Edge{U: 200, V: graph.VertexID(i % 5)}, &leaves[i])
+		}
+		for _, e := range evi.Edges() {
+			removed += evi.Fail(e, tr)
+		}
+		evi.Reset()
+	}
+	round() // grow the buffers
+	if removed != len(leaves) {
+		t.Fatalf("a round filtered %d leaves, want %d", removed, len(leaves))
+	}
+	if n := testing.AllocsPerRun(100, round); n != 0 {
+		t.Errorf("EVI round allocates %.1f times, want 0", n)
+	}
+}
+
+// TestEVIMatchesMapIndex checks the run log against the plain
+// edge -> leaves map of Definition 5 on random registrations: leaves
+// with one to three undetermined edges drawn from a small shared pool,
+// so runs both extend across consecutive leaves and break.
+func TestEVIMatchesMapIndex(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 50; trial++ {
+		tr := New(2)
+		root := tr.Node(nil, 0)
+		tr.Link(root)
+		tr.Pin(root)
+		evi := NewEVI()
+		want := make(map[graph.Edge][]*Node)
+		pool := 1 + rng.Intn(8)
+		for i := 0; i < 1+rng.Intn(60); i++ {
+			leaf := tr.Node(root, graph.VertexID(i+1))
+			tr.Link(leaf)
+			for _, j := range rng.Perm(pool)[:1+rng.Intn(min(3, pool))] {
+				e := graph.Edge{U: graph.VertexID(100 + j), V: graph.VertexID(j)}
+				evi.Add(e, leaf)
+				want[e.Normalize()] = append(want[e.Normalize()], leaf)
+			}
+		}
+		if evi.Len() != len(want) {
+			t.Fatalf("trial %d: Len = %d, want %d", trial, evi.Len(), len(want))
+		}
+		for _, e := range evi.Edges() {
+			if got := evi.Candidates(e); !reflect.DeepEqual(got, want[e]) {
+				t.Fatalf("trial %d: Candidates(%v) = %v, want %v", trial, e, got, want[e])
+			}
+		}
+		for _, e := range evi.Edges() {
+			if rng.Intn(2) == 0 {
+				continue
+			}
+			live := 0
+			for _, n := range want[e] {
+				if !n.Dead() {
+					live++
+				}
+			}
+			if got := evi.Fail(e, tr); got != live {
+				t.Fatalf("trial %d: Fail(%v) = %d, want %d", trial, e, got, live)
+			}
+		}
+	}
+}

@@ -44,8 +44,9 @@ func engineKey(r EngineBenchResult) string {
 // CompareReports diffs cur's ns/op against base's, benchmark by
 // benchmark, flagging every slowdown beyond tolerance (0.25 = warn
 // when more than 25% slower). Benchmarks present on only one side are
-// skipped — a new kernel has no baseline, a deleted one needs none.
-// Deltas come back sorted worst-ratio first.
+// skipped — a new kernel has no baseline; a baseline row the fresh run
+// lacks is reported by MissingRows. Deltas come back sorted
+// worst-ratio first.
 func CompareReports(base, cur *BenchReport, tolerance float64) []BenchDelta {
 	var out []BenchDelta
 	add := func(name string, baseNs, curNs float64) {
@@ -80,6 +81,32 @@ func CompareReports(base, cur *BenchReport, tolerance float64) []BenchDelta {
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Ratio > out[j].Ratio })
+	return out
+}
+
+// MissingRows lists, sorted, the benchmarks base has and cur lacks,
+// named as in CompareReports. A row the fresh run stopped producing
+// would otherwise pass the comparison unnoticed.
+func MissingRows(base, cur *BenchReport) []string {
+	have := make(map[string]bool, len(cur.Micro)+len(cur.Engines))
+	for _, m := range cur.Micro {
+		have["micro:"+m.Name] = true
+	}
+	for _, e := range cur.Engines {
+		have[engineKey(e)] = true
+	}
+	var out []string
+	for _, m := range base.Micro {
+		if !have["micro:"+m.Name] {
+			out = append(out, "micro:"+m.Name)
+		}
+	}
+	for _, e := range base.Engines {
+		if !have[engineKey(e)] {
+			out = append(out, engineKey(e))
+		}
+	}
+	sort.Strings(out)
 	return out
 }
 

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -73,5 +74,30 @@ func TestCompareReportsIgnoresProvenance(t *testing.T) {
 	}
 	if deltas[0].Regress {
 		t.Errorf("provenance mismatch flagged as regression: %+v", deltas[0])
+	}
+}
+
+// TestMissingRowsListsDroppedEngineRow: a baseline row the fresh run no
+// longer produces is listed, not silently skipped; rows only the fresh
+// run has are not.
+func TestMissingRowsListsDroppedEngineRow(t *testing.T) {
+	base := &BenchReport{
+		Micro: []MicroResult{{Name: "merge", NsOp: 100}},
+		Engines: []EngineBenchResult{
+			{Engine: "RADS", Dataset: "DBLP", Pattern: "q1", NsOp: 1000},
+			{Engine: "SEED", Dataset: "DBLP", Pattern: "q1", NsOp: 2000},
+		},
+	}
+	cur := &BenchReport{
+		Micro: []MicroResult{{Name: "merge", NsOp: 100}, {Name: "fresh", NsOp: 1}},
+		Engines: []EngineBenchResult{
+			{Engine: "SEED", Dataset: "DBLP", Pattern: "q1", NsOp: 2000},
+		},
+	}
+	if got := MissingRows(base, cur); !reflect.DeepEqual(got, []string{"RADS/DBLP/q1"}) {
+		t.Errorf("MissingRows = %v, want [RADS/DBLP/q1]", got)
+	}
+	if got := MissingRows(base, base); len(got) != 0 {
+		t.Errorf("MissingRows of a report against itself = %v, want none", got)
 	}
 }

@@ -205,6 +205,7 @@ type engine struct {
 	// from trie materialization and counted per core embedding.
 	deferred  []pattern.VertexID // deferred vertices, in matching order
 	defPiv    []pattern.VertexID // sole pattern neighbour of deferred[i]
+	defPivPos []int              // redPos of defPiv[i]
 	defCons   [][]posCons        // symmetry constraints checked at count time
 	redOrder  []pattern.VertexID // matching order minus deferred vertices
 	redPos    []int              // position in redOrder; -1 for deferred
@@ -328,6 +329,9 @@ func (e *engine) precompute() {
 			e.redPos[u] = len(e.redOrder)
 			e.redOrder = append(e.redOrder, u)
 		}
+	}
+	for _, piv := range e.defPiv {
+		e.defPivPos = append(e.defPivPos, e.redPos[piv])
 	}
 	e.redPrefix = make([]int, len(e.pl.Units))
 	for i := range e.pl.Units {

@@ -2,7 +2,7 @@ package rads
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -26,11 +26,11 @@ type machine struct {
 	id int
 
 	// view is the machine's local-knowledge discipline: own partition
-	// plus the fetched-adjacency cache, shared by all pool workers under
-	// its lock so each foreign vertex crosses the network once per
-	// machine, not once per worker. Groups pin the lists they fetched
-	// for their in-flight rounds (groupState.pinned), so a concurrent
-	// group's cache-pressure drop never invalidates them mid-use.
+	// plus the fetched-adjacency cache, shared by all pool workers so
+	// each foreign vertex crosses the network once per machine, not
+	// once per worker. Groups pin the lists they fetched for their
+	// in-flight rounds (groupState.pinLog), so a concurrent group's
+	// cache-pressure drop never invalidates them mid-use.
 	view *view
 
 	queue *groupQueue // unprocessed region groups (shared with daemon)
@@ -457,50 +457,72 @@ func (m *machine) stealPhase() error {
 // (fraction of its neighbours adjacent to the group) until the
 // estimated memory phi(rg) would exceed the target.
 func proximityGroups(g graph.Store, cands []graph.VertexID, est func(graph.VertexID) int64, target int64) [][]graph.VertexID {
-	remaining := make(map[graph.VertexID]bool, len(cands))
+	n := g.NumVertices()
+	remaining := make([]bool, n)
 	for _, v := range cands {
 		remaining[v] = true
 	}
+	// Per-group sets, epoch-stamped so each group starts empty without
+	// clearing: x is in the union of the group's neighbourhoods when
+	// inAdj[x] == epoch, and remaining candidate y is on the frontier,
+	// with hits[y] = |adj(y) ∩ that union|, when inFront[y] == epoch.
+	// front lists the frontier; members that joined the group are
+	// compacted out as the argmax scan passes them.
+	inAdj := make([]uint32, n)
+	inFront := make([]uint32, n)
+	hits := make([]int32, n)
+	var front []graph.VertexID
+	var epoch uint32
+	grow := func(w graph.VertexID) {
+		for _, x := range g.Adj(w) {
+			if inAdj[x] == epoch {
+				continue
+			}
+			inAdj[x] = epoch
+			for _, y := range g.Adj(x) {
+				if !remaining[y] {
+					continue
+				}
+				if inFront[y] != epoch {
+					inFront[y] = epoch
+					hits[y] = 0
+					front = append(front, y)
+				}
+				hits[y]++
+			}
+		}
+	}
+
 	var groups [][]graph.VertexID
 	// Deterministic iteration: process candidates in sorted order.
-	sorted := append([]graph.VertexID(nil), cands...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-
+	sorted := slices.Clone(cands)
+	slices.Sort(sorted)
 	for _, seed := range sorted {
 		if !remaining[seed] {
 			continue
 		}
-		delete(remaining, seed)
+		remaining[seed] = false
+		epoch++
+		front = front[:0]
 		rg := []graph.VertexID{seed}
 		phi := est(seed)
-		// adjSet: union of neighbours of the group.
-		adjSet := make(map[graph.VertexID]bool)
-		// frontier[v] = |adj(v) ∩ adjSet| for remaining candidates near
-		// the group; updated incrementally as the group grows.
-		frontier := make(map[graph.VertexID]int)
-		grow := func(w graph.VertexID) {
-			for _, x := range g.Adj(w) {
-				if adjSet[x] {
-					continue
-				}
-				adjSet[x] = true
-				for _, y := range g.Adj(x) {
-					if remaining[y] {
-						frontier[y]++
-					}
-				}
-			}
-		}
 		grow(seed)
 		for phi < target {
-			// argmax proximity over the frontier.
+			// argmax proximity over the frontier; ties go to the lowest
+			// vertex, so the scan order does not matter.
 			best, bestScore := graph.VertexID(-1), -1.0
-			for v, c := range frontier {
-				score := float64(c) / float64(len(g.Adj(v)))
+			live := front[:0]
+			for _, v := range front {
+				if !remaining[v] {
+					continue
+				}
+				live = append(live, v)
+				score := float64(hits[v]) / float64(g.Degree(v))
 				if score > bestScore || (score == bestScore && v < best) {
 					best, bestScore = v, score
 				}
 			}
+			front = live
 			if best < 0 {
 				break // no candidate within distance 2 of the group
 			}
@@ -508,8 +530,7 @@ func proximityGroups(g graph.Store, cands []graph.VertexID, est func(graph.Verte
 			if phi+cost > target {
 				break // Alg. 3 line 8-9: would overflow; leave it for later
 			}
-			delete(remaining, best)
-			delete(frontier, best)
+			remaining[best] = false
 			rg = append(rg, best)
 			phi += cost
 			grow(best)
@@ -574,28 +595,38 @@ func (q *groupQueue) Len() int {
 
 // view enforces the distribution discipline: a machine may read the
 // adjacency list of a vertex only if it owns it or has fetched it.
-// One view is shared by all of a machine's pool workers; the cache is
-// guarded by mu, and fetchMu serializes whole fetch phases
+// One view is shared by all of a machine's pool workers.
+//
+// Reads take no lock: slots[x] holds x's fetched list while it is
+// cached, so a probe is an ownership check plus one atomic load. A
+// probe racing a drop is still correct, because fetched lists are
+// immutable, and the lists a round depends on are pinned (a refcount),
+// which dropAll — the budget valve and the DisableCache ablation —
+// never clears. Writers (insertion with its budget charge, pins,
+// drops) serialize on mu, so everything resident stays
+// budget-charged. fetchMu serializes whole fetch phases
 // (need-computation, the fetchV call, insertion), so each foreign
 // adjacency list is fetched, transported and budget-charged once per
 // machine regardless of Workers.
-//
-// Entries a group's in-flight rounds depend on are pinned (a
-// refcount): dropAll — the budget valve and the DisableCache ablation
-// — skips pinned entries, so a list is evicted only when no round
-// still relies on it, and everything resident stays budget-charged.
 type view struct {
-	e  *engine
-	id int
+	e     *engine
+	id    int
+	owner []int32 // e.part.Owner, one indirection closer to the probes
+
+	slots []atomic.Pointer[[]graph.VertexID] // indexed by vertex ID
+
+	mu       sync.Mutex
+	pins     []int32          // pin count per vertex
+	resident []graph.VertexID // vertices whose slot is set
 
 	// fetchMu serializes fetch phases across the machine's pool
-	// workers; held across the transport call, which is safe because
-	// the remote daemon never touches this machine's view.
+	// workers and guards the fetch scratch below; held across the
+	// transport call, which is safe because the remote daemon never
+	// touches this machine's view.
 	fetchMu sync.Mutex
-
-	mu    sync.RWMutex
-	cache map[graph.VertexID][]graph.VertexID
-	pins  map[graph.VertexID]int
+	need    [][]graph.VertexID // per owner: vertices to fetch
+	seen    []uint32           // seen[x] == epoch: x handled this phase
+	epoch   uint32
 
 	// Fetch-phase cache effectiveness: hits are foreign pivots found
 	// resident (pinCached success in a fetch phase), misses crossed the
@@ -606,22 +637,26 @@ type view struct {
 }
 
 func newView(e *engine, id int) *view {
+	n := len(e.part.Owner)
 	return &view{
 		e:     e,
 		id:    id,
-		cache: make(map[graph.VertexID][]graph.VertexID),
-		pins:  make(map[graph.VertexID]int),
+		owner: e.part.Owner,
+		slots: make([]atomic.Pointer[[]graph.VertexID], n),
+		pins:  make([]int32, n),
+		need:  make([][]graph.VertexID, e.part.M),
+		seen:  make([]uint32, n),
 	}
 }
 
-func (v *view) owned(x graph.VertexID) bool { return v.e.part.Owner[x] == int32(v.id) }
+func (v *view) owned(x graph.VertexID) bool { return v.owner[x] == int32(v.id) }
 
 // cachedAdj returns x's fetched adjacency list, if present.
 func (v *view) cachedAdj(x graph.VertexID) ([]graph.VertexID, bool) {
-	v.mu.RLock()
-	a, ok := v.cache[x]
-	v.mu.RUnlock()
-	return a, ok
+	if p := v.slots[x].Load(); p != nil {
+		return *p, true
+	}
+	return nil, false
 }
 
 // adjKnown returns the adjacency list of x if locally determinable.
@@ -637,7 +672,7 @@ func (v *view) adjKnown(x graph.VertexID) ([]graph.VertexID, bool) {
 func (v *view) pinCached(x graph.VertexID) bool {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if _, ok := v.cache[x]; !ok {
+	if v.slots[x].Load() == nil {
 		return false
 	}
 	v.pins[x]++
@@ -650,11 +685,12 @@ func (v *view) pinCached(x graph.VertexID) bool {
 func (v *view) insertPinned(x graph.VertexID, adj []graph.VertexID) error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if _, ok := v.cache[x]; !ok {
+	if v.slots[x].Load() == nil {
 		if err := v.e.cfg.Budget.Charge(v.id, cacheEntryBytes(adj)); err != nil {
 			return err
 		}
-		v.cache[x] = adj
+		v.slots[x].Store(&adj)
+		v.resident = append(v.resident, x)
 	}
 	v.pins[x]++
 	return nil
@@ -664,10 +700,8 @@ func (v *view) insertPinned(x graph.VertexID, adj []graph.VertexID) error {
 // until a later dropAll finds it unpinned.
 func (v *view) unpin(x graph.VertexID) {
 	v.mu.Lock()
-	defer v.mu.Unlock()
-	if v.pins[x]--; v.pins[x] <= 0 {
-		delete(v.pins, x)
-	}
+	v.pins[x]--
+	v.mu.Unlock()
 }
 
 // dropAll empties the unpinned part of the cache (DisableCache
@@ -677,12 +711,27 @@ func (v *view) unpin(x graph.VertexID) {
 func (v *view) dropAll() {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	for x, adj := range v.cache {
+	kept := v.resident[:0]
+	for _, x := range v.resident {
 		if v.pins[x] > 0 {
+			kept = append(kept, x)
 			continue
 		}
-		v.e.cfg.Budget.Release(v.id, cacheEntryBytes(adj))
-		delete(v.cache, x)
+		v.e.cfg.Budget.Release(v.id, cacheEntryBytes(*v.slots[x].Load()))
+		v.slots[x].Store(nil)
+	}
+	v.resident = kept
+}
+
+// beginFetch starts a fetch phase; the caller holds fetchMu. It empties
+// the per-owner need lists and invalidates every seen mark.
+func (v *view) beginFetch() {
+	for o := range v.need {
+		v.need[o] = v.need[o][:0]
+	}
+	if v.epoch++; v.epoch == 0 { // wrapped: stale marks would alias
+		clear(v.seen)
+		v.epoch = 1
 	}
 }
 

@@ -115,6 +115,9 @@ func (c *ClusterEngine) Run(ctx context.Context, req eng.Request) (eng.Result, e
 	if trace == nil {
 		trace = obs.NewTrace()
 	}
+	// Planning is a top-level phase, so the profile's wall time covers
+	// it too; the wait for c.mu below is queueing and stays out.
+	var planDur time.Duration
 	var pl *plan.Plan
 	if req.Artifact != nil {
 		pa, ok := req.Artifact.(PlanArtifact)
@@ -123,10 +126,12 @@ func (c *ClusterEngine) Run(ctx context.Context, req eng.Request) (eng.Result, e
 		}
 		pl = pa.Plan
 	} else {
+		planStart := time.Now()
 		planSp := trace.Start("plan", -1, -1)
 		var err error
 		pl, err = plan.Compute(req.Pattern)
 		planSp.End()
+		planDur = time.Since(planStart)
 		if err != nil {
 			return eng.Result{}, fmt.Errorf("rads: planning %s: %w", req.Pattern.Name, err)
 		}
@@ -268,7 +273,7 @@ func (c *ClusterEngine) Run(ctx context.Context, req eng.Request) (eng.Result, e
 		res.Total = 0
 		res.TreeNodes = 0
 	}
-	prof := trace.Snapshot(time.Since(start))
+	prof := trace.Snapshot(planDur + time.Since(start))
 	// Stitched spans arrive per machine in fold order; re-sort into one
 	// cross-machine timeline.
 	obs.SortSpans(prof.Spans)

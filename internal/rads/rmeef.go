@@ -2,7 +2,7 @@ package rads
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -35,14 +35,24 @@ type groupState struct {
 	// results produced since the last verify & filter.
 	created []*etrie.Node
 
-	f    []graph.VertexID // partial embedding indexed by query vertex
-	used map[graph.VertexID]bool
+	// next[r] holds the surviving leaves a flush of round r hands to
+	// round r+1. Rounds only grow along the recursion (a flush of round
+	// r descends into r+1 before any other flush of r can start), so
+	// one buffer per round serves all of the group's segments.
+	next [][]*etrie.Node
 
-	// pending undetermined edges along the current adjEnum chain,
-	// stacked per recursion depth.
-	pending [][]graph.Edge
+	// f is the partial embedding indexed by query vertex, -1 where
+	// unmatched. It doubles as the used set: see used.
+	f []graph.VertexID
+
+	// undet stacks the undetermined edges along the current adjEnum
+	// chain; each recursion depth truncates back to the length it found.
+	undet []graph.Edge
 
 	pathBuf []graph.VertexID
+
+	// byOwner is verifyAndFilter's per-owner request scratch.
+	byOwner [][]graph.Edge
 
 	// flushNodes bounds the number of EC leaves a flush segment may
 	// accumulate before verification and deeper rounds run for it.
@@ -72,21 +82,17 @@ type groupState struct {
 	chargedTrie int64 // budget bytes currently charged for the trie
 }
 
-// processGroup runs all R-Meef rounds for one region group. worker is
-// the pool-worker index it runs on, for span attribution.
-func (m *machine) processGroup(group []graph.VertexID, worker int) error {
+// newGroupState returns empty R-Meef state for one region group (or
+// one shard of a split round) on this machine.
+func (m *machine) newGroupState() *groupState {
 	e := m.e
-	groupSp := e.cfg.Trace.Start("execute/group", m.id, worker)
-	defer groupSp.End()
 	st := &groupState{
-		trie: etrie.New(len(e.redOrder)),
-		evi:  etrie.NewEVI(),
-		view: m.view,
-		f:    make([]graph.VertexID, e.p.N()),
-		used: make(map[graph.VertexID]bool, e.p.N()),
-	}
-	for i := range st.f {
-		st.f[i] = -1
+		trie:    etrie.New(len(e.redOrder)),
+		evi:     etrie.NewEVI(),
+		view:    m.view,
+		next:    make([][]*etrie.Node, len(e.pl.Units)),
+		f:       emptyEmbedding(e.p.N()),
+		byOwner: make([][]graph.Edge, e.part.M),
 	}
 	if target := e.groupMemTarget(); target > 0 {
 		// Leave half the target as headroom for the segment being built.
@@ -95,6 +101,24 @@ func (m *machine) processGroup(group []graph.VertexID, worker int) error {
 			st.flushNodes = 1
 		}
 	}
+	return st
+}
+
+func emptyEmbedding(n int) []graph.VertexID {
+	f := make([]graph.VertexID, n)
+	for i := range f {
+		f[i] = -1
+	}
+	return f
+}
+
+// processGroup runs all R-Meef rounds for one region group. worker is
+// the pool-worker index it runs on, for span attribution.
+func (m *machine) processGroup(group []graph.VertexID, worker int) error {
+	e := m.e
+	groupSp := e.cfg.Trace.Start("execute/group", m.id, worker)
+	defer groupSp.End()
+	st := m.newGroupState()
 
 	// Round 0: the frontier is the group's candidates of dp0.piv mapped
 	// as single-vertex partial embeddings. For stolen groups the
@@ -136,6 +160,18 @@ func (m *machine) processGroup(group []graph.VertexID, worker int) error {
 // evicted from under an in-flight frame).
 func (st *groupState) adjKnown(x graph.VertexID) ([]graph.VertexID, bool) {
 	return st.view.adjKnown(x)
+}
+
+// used reports whether data vertex x is already matched in the partial
+// embedding. f has one entry per query vertex, so a scan is cheaper
+// than maintaining any set; unmatched entries hold -1 and never match.
+func (st *groupState) used(x graph.VertexID) bool {
+	for _, y := range st.f {
+		if y == x {
+			return true
+		}
+	}
+	return false
 }
 
 // mustAdj returns the adjacency list of x, which the caller has
@@ -202,7 +238,7 @@ func (m *machine) runRounds(st *groupState, round int, frontier []*etrie.Node) e
 		// of P_round are exactly the results of P_{round-1}.
 		return m.runRounds(st, round+1, frontier)
 	}
-	if err := m.fetchForeignPivots(st, round, frontier); err != nil {
+	if err := m.fetchPivots(st, frontier, e.redPos[e.pl.Units[round].Piv]); err != nil {
 		return err
 	}
 	// Huge-group frontier parallelism: a hub-seeded group can hold most
@@ -271,18 +307,8 @@ func (m *machine) expandRoundParallel(st *groupState, round int, frontier []*etr
 	var aborted atomic.Bool
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		sub := &groupState{
-			trie:       etrie.New(len(e.redOrder)),
-			evi:        etrie.NewEVI(),
-			view:       st.view,
-			f:          make([]graph.VertexID, e.p.N()),
-			used:       make(map[graph.VertexID]bool, e.p.N()),
-			flushNodes: st.flushNodes,
-			sub:        true,
-		}
-		for i := range sub.f {
-			sub.f[i] = -1
-		}
+		sub := m.newGroupState()
+		sub.sub = true
 		subs[w] = sub
 		wg.Add(1)
 		go func(w int, sub *groupState) {
@@ -358,12 +384,16 @@ func (m *machine) flushSegment(st *groupState, round int) error {
 	if err := m.verifyAndFilter(st); err != nil {
 		return err
 	}
-	next := make([]*etrie.Node, 0, len(st.created))
+	next := st.next[round][:0]
+	if cap(next) < len(st.created) {
+		next = make([]*etrie.Node, 0, len(st.created))
+	}
 	for _, n := range st.created {
 		if !n.Dead() {
 			next = append(next, n)
 		}
 	}
+	clear(st.created)
 	st.created = st.created[:0]
 
 	m.recordRoundStats(st, round, len(next))
@@ -379,27 +409,28 @@ func (m *machine) flushSegment(st *groupState, round int) error {
 		// rounds only costs re-fetches, never correctness.
 		st.view.dropAll()
 	}
+	st.next[round] = next
 	if len(next) == 0 {
 		return nil
 	}
-	return m.runRounds(st, round+1, next)
+	err := m.runRounds(st, round+1, next)
+	clear(next)
+	return err
 }
 
 // midFlush is flushSegment invoked from inside an expansion loop. The
-// deeper rounds reuse the shared scratch state (f, used, pathBuf), so
-// the caller's view of it is saved and restored around the descent.
+// deeper rounds reuse the shared scratch state (f, pathBuf), so the
+// caller's view of it is saved and restored around the descent. The
+// undet stack needs no saving: flush points sit between top-level
+// candidates, where it is empty, and the descent leaves it empty.
 func (m *machine) midFlush(st *groupState, round int) error {
-	savedF, savedUsed, savedPath := st.f, st.used, st.pathBuf
-	st.f = make([]graph.VertexID, len(savedF))
-	for i := range st.f {
-		st.f[i] = -1
-	}
-	st.used = make(map[graph.VertexID]bool, len(savedUsed))
+	savedF, savedPath := st.f, st.pathBuf
+	st.f = emptyEmbedding(len(savedF))
 	st.pathBuf = nil
 
 	err := m.flushSegment(st, round)
 
-	st.f, st.used, st.pathBuf = savedF, savedUsed, savedPath
+	st.f, st.pathBuf = savedF, savedPath
 	return err
 }
 
@@ -411,7 +442,7 @@ func (m *machine) midFlush(st *groupState, round int) error {
 func (m *machine) emitResults(st *groupState, frontier []*etrie.Node) error {
 	e := m.e
 	if len(e.deferred) > 0 {
-		if err := m.fetchDeferredPivots(st, frontier); err != nil {
+		if err := m.fetchPivots(st, frontier, e.defPivPos...); err != nil {
 			return err
 		}
 	}
@@ -440,13 +471,10 @@ func (m *machine) emitResults(st *groupState, frontier []*etrie.Node) error {
 		st.pathBuf = st.trie.AppendPath(st.pathBuf[:0], leaf)
 		for j, v := range st.pathBuf {
 			st.f[e.redOrder[j]] = v
-			st.used[v] = true
 		}
 		st.distCount += m.countDeferred(st, 0)
-		for j := 0; j < len(st.pathBuf); j++ {
-			u := e.redOrder[j]
-			delete(st.used, st.f[u])
-			st.f[u] = -1
+		for j := range st.pathBuf {
+			st.f[e.redOrder[j]] = -1
 		}
 		st.trie.Remove(leaf)
 	}
@@ -468,7 +496,7 @@ func (m *machine) countDeferred(st *groupState, di int) int64 {
 	adj := st.mustAdj(st.f[e.defPiv[di]])
 	var total int64
 	for _, v := range adj {
-		if st.used[v] {
+		if st.used(v) {
 			continue
 		}
 		ok := true
@@ -488,134 +516,66 @@ func (m *machine) countDeferred(st *groupState, di int) int64 {
 			continue
 		}
 		st.f[d] = v
-		st.used[v] = true
 		total += m.countDeferred(st, di+1)
-		delete(st.used, v)
 		st.f[d] = -1
 	}
 	return total
 }
 
-// fetchDeferredPivots makes sure the adjacency list of every deferred
-// end vertex’s pivot is locally available for counting, batching one
-// fetchV per remote machine (the cache-release valve may have dropped
-// lists fetched in earlier rounds).
-func (m *machine) fetchDeferredPivots(st *groupState, frontier []*etrie.Node) error {
+// fetchPivots makes the adjacency list of every pivot data vertex of
+// the live frontier — the path entries at positions pos — locally
+// available and pinned for the caller's frame. Owned vertices need
+// nothing, cached ones are pinned, and the rest are fetched with one
+// batched fetchV request per remote machine (Section 3.2 "Expand"; the
+// cache-release valve may have dropped lists fetched in earlier
+// rounds).
+func (m *machine) fetchPivots(st *groupState, frontier []*etrie.Node, pos ...int) error {
 	e := m.e
+	v := st.view
 	// One fetch phase at a time per machine: a concurrent group's
 	// fetch completes (and inserts) before this need-computation runs,
 	// so each foreign vertex crosses the network once per machine.
-	st.view.fetchMu.Lock()
-	defer st.view.fetchMu.Unlock()
-	need := make(map[int][]graph.VertexID)
-	seen := make(map[graph.VertexID]bool)
+	v.fetchMu.Lock()
+	defer v.fetchMu.Unlock()
+	v.beginFetch()
+	fetching := false
 	for _, leaf := range frontier {
 		if leaf.Dead() {
 			continue
 		}
 		st.pathBuf = st.trie.AppendPath(st.pathBuf[:0], leaf)
-		for _, piv := range e.defPiv {
-			v := st.pathBuf[e.redPos[piv]]
-			if seen[v] {
+		for _, p := range pos {
+			x := st.pathBuf[p]
+			if v.seen[x] == v.epoch {
 				continue
 			}
-			seen[v] = true
-			if st.view.owned(v) {
+			v.seen[x] = v.epoch
+			if v.owned(x) {
 				continue
 			}
 			// DisableCache models a cacheless machine: every round pays
 			// the fetch again, so a cache hit is not taken.
-			if !e.cfg.DisableCache && st.view.pinCached(v) {
-				st.view.hits.Add(1)
-				st.logPin(v) // keep it resident past any cache drop
+			if !e.cfg.DisableCache && v.pinCached(x) {
+				v.hits.Add(1)
+				st.logPin(x) // keep it resident past any cache drop
 				continue
 			}
-			st.view.misses.Add(1)
-			need[int(e.part.Owner[v])] = append(need[int(e.part.Owner[v])], v)
+			v.misses.Add(1)
+			owner := e.part.Owner[x]
+			v.need[owner] = append(v.need[owner], x)
+			fetching = true
 		}
 	}
-	owners := make([]int, 0, len(need))
-	for o := range need {
-		owners = append(owners, o)
+	if !fetching {
+		return nil
 	}
-	sort.Ints(owners)
-	if len(owners) > 0 {
-		sp := e.cfg.Trace.Start("execute/fetchV", m.id, -1)
-		defer sp.End()
-	}
-	for _, owner := range owners {
-		vs := need[owner]
-		sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
-		resp, err := e.tr.Call(m.id, owner, &cluster.FetchVRequest{Vertices: vs})
-		if err != nil {
-			return fmt.Errorf("fetchV (deferred pivots) to %d: %w", owner, err)
-		}
-		adj := resp.(*cluster.FetchVResponse).Adj
-		if len(adj) != len(vs) {
-			return fmt.Errorf("fetchV to %d: got %d lists for %d vertices", owner, len(adj), len(vs))
-		}
-		for i, v := range vs {
-			if err := st.view.insertPinned(v, adj[i]); err != nil {
-				return err
-			}
-			st.logPin(v)
-		}
-	}
-	return nil
-}
-
-// fetchForeignPivots gathers the pivot data vertices of the round that
-// are neither owned nor cached and fetches their adjacency lists, one
-// batched fetchV request per remote machine (Section 3.2 "Expand").
-func (m *machine) fetchForeignPivots(st *groupState, round int, frontier []*etrie.Node) error {
-	e := m.e
-	var pivPos int
-	if round == 0 {
-		pivPos = 0 // dp0.piv is at order position 0 = the trie root
-	} else {
-		pivPos = e.redPos[e.pl.Units[round].Piv]
-	}
-	// One fetch phase at a time per machine (see fetchDeferredPivots).
-	st.view.fetchMu.Lock()
-	defer st.view.fetchMu.Unlock()
-	need := make(map[int][]graph.VertexID) // owner -> vertices
-	seen := make(map[graph.VertexID]bool)
-	for _, leaf := range frontier {
-		if leaf.Dead() {
+	sp := e.cfg.Trace.Start("execute/fetchV", m.id, -1)
+	defer sp.End()
+	for owner, vs := range v.need {
+		if len(vs) == 0 {
 			continue
 		}
-		st.pathBuf = st.trie.AppendPath(st.pathBuf[:0], leaf)
-		v := st.pathBuf[pivPos]
-		if seen[v] {
-			continue
-		}
-		seen[v] = true
-		if st.view.owned(v) {
-			continue
-		}
-		// DisableCache models a cacheless machine: every round pays the
-		// fetch again, so a cache hit is not taken.
-		if !e.cfg.DisableCache && st.view.pinCached(v) {
-			st.view.hits.Add(1)
-			st.logPin(v) // keep it resident past any cache drop
-			continue
-		}
-		st.view.misses.Add(1)
-		owner := int(e.part.Owner[v])
-		need[owner] = append(need[owner], v)
-	}
-	owners := make([]int, 0, len(need))
-	for o := range need {
-		owners = append(owners, o)
-	}
-	sort.Ints(owners)
-	if len(owners) > 0 {
-		sp := e.cfg.Trace.Start("execute/fetchV", m.id, -1)
-		defer sp.End()
-	}
-	for _, owner := range owners {
-		vs := need[owner]
-		sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
+		slices.Sort(vs)
 		resp, err := e.tr.Call(m.id, owner, &cluster.FetchVRequest{Vertices: vs})
 		if err != nil {
 			return fmt.Errorf("fetchV to %d: %w", owner, err)
@@ -624,11 +584,11 @@ func (m *machine) fetchForeignPivots(st *groupState, round int, frontier []*etri
 		if len(adj) != len(vs) {
 			return fmt.Errorf("fetchV to %d: got %d lists for %d vertices", owner, len(adj), len(vs))
 		}
-		for i, v := range vs {
-			if err := st.view.insertPinned(v, adj[i]); err != nil {
+		for i, x := range vs {
+			if err := v.insertPinned(x, adj[i]); err != nil {
 				return err
 			}
-			st.logPin(v)
+			st.logPin(x)
 		}
 	}
 	return nil
@@ -656,13 +616,12 @@ func (m *machine) expandRound(st *groupState, round int, frontier []*etrie.Node)
 		}
 		for j, v := range st.pathBuf {
 			st.f[e.redOrder[j]] = v
-			st.used[v] = true
 		}
 
 		vpiv := st.f[piv]
-		adj := st.mustAdj(vpiv) // fetched and pinned by fetchForeignPivots
+		adj := st.mustAdj(vpiv) // fetched and pinned by fetchPivots
 
-		st.pending = st.pending[:0]
+		st.undet = st.undet[:0]
 		// Pin the parent: a mid-round flush may consume and remove every
 		// child produced so far while we are still expanding beneath it.
 		st.trie.Pin(parent)
@@ -671,9 +630,7 @@ func (m *machine) expandRound(st *groupState, round int, frontier []*etrie.Node)
 		// Backtrack bookkeeping. pathBuf may have been clobbered by a
 		// mid-round flush, so clear via f (which midFlush restores).
 		for j := 0; j < prefixBefore; j++ {
-			u := e.redOrder[j]
-			delete(st.used, st.f[u])
-			st.f[u] = -1
+			st.f[e.redOrder[j]] = -1
 		}
 		// Unpin removes the parent when nothing under it survived —
 		// Algorithm 1 lines 7-9 generalized to segmented rounds.
@@ -706,7 +663,7 @@ func (m *machine) adjEnum(st *groupState, round, li int, parent *etrie.Node, lea
 				return produced, err
 			}
 		}
-		if st.used[v] {
+		if st.used(v) {
 			continue
 		}
 		// Symmetry-breaking constraints against earlier positions.
@@ -730,8 +687,8 @@ func (m *machine) adjEnum(st *groupState, round, li int, parent *etrie.Node, lea
 			continue
 		}
 		// Verification edges to already-matched query vertices: check
-		// locally when determinable, otherwise collect as undetermined.
-		var undet []graph.Edge
+		// locally when determinable, otherwise stack as undetermined.
+		mark := len(st.undet)
 		for _, w := range e.verif[pos] {
 			fw := st.f[w]
 			exists, determinable := st.edgeKnown(v, fw)
@@ -741,17 +698,16 @@ func (m *machine) adjEnum(st *groupState, round, li int, parent *etrie.Node, lea
 					break
 				}
 			} else {
-				undet = append(undet, graph.Edge{U: v, V: fw}.Normalize())
+				st.undet = append(st.undet, graph.Edge{U: v, V: fw}.Normalize())
 			}
 		}
 		if !ok {
+			st.undet = st.undet[:mark]
 			continue
 		}
 
 		node := st.trie.Node(parent, v)
 		st.f[u] = v
-		st.used[v] = true
-		st.pending = append(st.pending, undet)
 
 		var err error
 		if li == len(leaves)-1 {
@@ -759,10 +715,8 @@ func (m *machine) adjEnum(st *groupState, round, li int, parent *etrie.Node, lea
 			st.trie.Link(node)
 			st.nodes++
 			st.created = append(st.created, node)
-			for _, depthEdges := range st.pending {
-				for _, de := range depthEdges {
-					st.evi.Add(de, node)
-				}
+			for _, de := range st.undet {
+				st.evi.Add(de, node)
 			}
 			produced = true
 		} else {
@@ -775,8 +729,7 @@ func (m *machine) adjEnum(st *groupState, round, li int, parent *etrie.Node, lea
 			}
 		}
 
-		st.pending = st.pending[:len(st.pending)-1]
-		delete(st.used, v)
+		st.undet = st.undet[:mark]
 		st.f[u] = -1
 		if err != nil {
 			return produced, err
@@ -792,9 +745,11 @@ func (m *machine) verifyAndFilter(st *groupState) error {
 	if st.evi.Len() == 0 {
 		return nil
 	}
-	edges := st.evi.Edges()
-	byOwner := make(map[int][]graph.Edge)
-	for _, ed := range edges {
+	byOwner := st.byOwner
+	for o := range byOwner {
+		byOwner[o] = byOwner[o][:0]
+	}
+	for _, ed := range st.evi.Edges() {
 		owner := int(e.part.Owner[ed.U])
 		if owner == m.id {
 			// Shouldn't happen: locally determinable edges never enter
@@ -806,17 +761,13 @@ func (m *machine) verifyAndFilter(st *groupState) error {
 		}
 		byOwner[owner] = append(byOwner[owner], ed)
 	}
-	owners := make([]int, 0, len(byOwner))
-	for o := range byOwner {
-		owners = append(owners, o)
-	}
-	sort.Ints(owners)
-	if len(owners) > 0 {
-		sp := e.cfg.Trace.Start("execute/verifyE", m.id, -1)
-		defer sp.End()
-	}
-	for _, owner := range owners {
-		req := &cluster.VerifyERequest{Edges: byOwner[owner]}
+	sp := e.cfg.Trace.Start("execute/verifyE", m.id, -1)
+	defer sp.End()
+	for owner, edges := range byOwner {
+		if len(edges) == 0 {
+			continue
+		}
+		req := &cluster.VerifyERequest{Edges: edges}
 		resp, err := e.tr.Call(m.id, owner, req)
 		if err != nil {
 			return fmt.Errorf("verifyE to %d: %w", owner, err)
